@@ -1,7 +1,8 @@
-"""Regenerate ``fingerprints.json``: the committed per-seed episode
-fingerprints that ``run.py`` checks every episode against.
+"""Regenerate ``fingerprints.json``: the committed fingerprints of
+episode seeds ``0..POOL-1`` of every workload, which ``run.py`` checks
+every episode against.
 
-    python3 costbench/record_fingerprints.py --seeds 0-39 --episodes 2
+    python3 costbench/record_fingerprints.py
 
 Run it only when a change alters what the simulation does (events,
 calls, transmissions or final metrics) on purpose, and say so in the
@@ -11,7 +12,6 @@ fingerprint as it is.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -20,31 +20,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 from counters import InstructionCounter  # noqa: E402
-from run import FINGERPRINTS, sub_seed  # noqa: E402
+from run import FINGERPRINTS, POOL  # noqa: E402
 from workloads import WORKLOADS, run_episode  # noqa: E402
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="0-39", help="inclusive range A-B")
-    parser.add_argument("--episodes", type=int, default=2)
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    args = parser.parse_args()
-    first, last = (int(x) for x in args.seeds.split("-"))
-    try:
-        with open(FINGERPRINTS) as fh:
-            table = json.load(fh)
-    except FileNotFoundError:
-        table = {}
+    table = {}
     with InstructionCounter() as counter:
-        for name in args.workload or list(WORKLOADS):
-            per_seed = table.setdefault(name, {})
-            for seed in range(first, last + 1):
-                per_seed[str(seed)] = [
-                    run_episode(WORKLOADS[name], sub_seed(seed, k), counter).fingerprint()
-                    for k in range(args.episodes)
-                ]
-                print(name, seed, per_seed[str(seed)], flush=True)
+        for name, workload in WORKLOADS.items():
+            table[name] = []
+            for seed in range(POOL):
+                table[name].append(run_episode(workload, seed, counter).fingerprint())
+                print(name, seed, table[name][-1], flush=True)
     with open(FINGERPRINTS, "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")

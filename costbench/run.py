@@ -6,7 +6,9 @@ Run from the root of a checkout.  The program under test is imported
 from ``src/`` next to this directory; nothing is installed.  Episodes
 (set-up, measured phase, final scrape; see ``workloads.py``) repeat
 until ``--seconds`` of measuring have passed, each from its own seed
-derived from ``--seed``.  The last line of standard output is one JSON
+taken from a fixed pool of episode seeds in an order derived from
+``--seed``, and every one is checked against the pool's committed
+fingerprints.  The last line of standard output is one JSON
 object: ``correct``, ``attempted`` (calls offered), ``failed`` (calls
 failed, plus every call of an episode whose fingerprint did not match)
 and ``metrics`` -- the end-to-end metrics with ``--trace 0``, the
@@ -14,7 +16,8 @@ per-layer metrics of ``tracer.py`` with ``--trace 1``.  The line before
 it holds diagnostics: sample counts and the host phase.
 
 Exit status: 0 when every fingerprint matched, 1 when one did not (the
-result is still printed), 2 on bad usage or a missing ``src/``, 3 when
+result is still printed), 2 on bad usage, a missing ``src/`` or a
+workload without committed fingerprints, 3 when
 the hardware instruction counter cannot be opened.  No wall time is
 ever reported under an instruction metric's name: without the counter
 the benchmark refuses to run.
@@ -23,10 +26,10 @@ the benchmark refuses to run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
+import random
 import resource
 import statistics
 import sys
@@ -37,6 +40,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 FINGERPRINTS = os.path.join(HERE, "fingerprints.json")
 
+#: Episode seeds with committed fingerprints, per workload: a run
+#: draws every episode from ``range(POOL)``.
+POOL = 64
 #: Episodes a run measures at least, whatever ``--seconds`` says.
 MIN_EPISODES = 3
 #: Quantile of time-per-instruction taken as the host's fast phase.
@@ -59,9 +65,10 @@ SELF_PCT = (
 )
 
 
-def sub_seed(seed: int, k: int) -> int:
-    """Seed of episode *k* of a run with ``--seed`` *seed*."""
-    return seed * 1000 + k
+def episode_order(seed: int) -> List[int]:
+    """The pool's episode seeds in the order a run with ``--seed``
+    *seed* plays them; episode *k* is ``order[k % POOL]``."""
+    return random.Random(seed).sample(range(POOL), POOL)
 
 
 def low_quantile(values: Sequence[float], q: float) -> float:
@@ -83,58 +90,63 @@ def metric(value: float, unit: str) -> Dict[str, Any]:
     return {"value": value, "unit": unit}
 
 
-class FingerprintCheck:
-    """Compares episodes against the committed per-seed fingerprints
-    and, for traced episodes, against their untraced twin."""
+def load_fingerprints(workload: str) -> Optional[List[str]]:
+    """The committed fingerprints of *workload*'s episode seeds
+    ``0..POOL-1``, or ``None`` when there is no full set."""
+    with open(FINGERPRINTS) as fh:
+        expected = json.load(fh).get(workload)
+    return expected if isinstance(expected, list) and len(expected) == POOL else None
 
-    def __init__(self, workload: str, seed: int) -> None:
-        with open(FINGERPRINTS) as fh:
-            committed = json.load(fh)
-        self.expected: List[str] = committed.get(workload, {}).get(str(seed), [])
+
+class FingerprintCheck:
+    """Compares every episode against the committed fingerprint of its
+    seed and, for traced episodes, against their untraced twin."""
+
+    def __init__(self, expected: List[str]) -> None:
+        self.expected = expected
         self.checked = 0
         self.mismatches: List[str] = []
 
-    def check(self, k: int, fingerprint: str, twin: Optional[str] = None) -> bool:
+    def check(self, seed: int, fingerprint: str, twin: Optional[str] = None) -> bool:
         ok = True
-        if k < len(self.expected):
-            self.checked += 1
-            if fingerprint != self.expected[k]:
-                self.mismatches.append(
-                    f"episode {k}: {fingerprint} != committed {self.expected[k]}"
-                )
-                ok = False
+        self.checked += 1
+        if fingerprint != self.expected[seed]:
+            self.mismatches.append(
+                f"episode seed {seed}: {fingerprint} != committed {self.expected[seed]}"
+            )
+            ok = False
         if twin is not None and fingerprint != twin:
-            self.mismatches.append(f"episode {k}: traced {fingerprint} != untraced {twin}")
+            self.mismatches.append(
+                f"episode seed {seed}: traced {fingerprint} != untraced {twin}")
             ok = False
         return ok
 
 
-def run_episodes(args: argparse.Namespace, counter: Any) -> Tuple[list, list, FingerprintCheck, List[float]]:
-    """Warm up, then run episodes (untraced, or untraced+traced pairs)
-    until ``--seconds`` have passed.  Returns ``(untraced, traced,
-    fingerprint check, reference-loop IPC samples)``."""
+def run_episodes(args: argparse.Namespace, counter: Any,
+                 check: FingerprintCheck) -> Tuple[Any, list, list, List[float]]:
+    """Warm up with one checked but unmeasured episode, then run
+    episodes (untraced, or untraced+traced pairs) until ``--seconds``
+    have passed.  Returns ``(warm-up, untraced, traced, reference-loop
+    IPC samples)``."""
     from counters import host_ipc
     from workloads import WORKLOADS, run_episode
 
     workload = WORKLOADS[args.workload]
-    warm = dataclasses.replace(
-        workload, pairs=min(workload.pairs, 20),
-        sim_seconds=min(workload.sim_seconds, 10.0),
-    )
-    run_episode(warm, sub_seed(args.seed, 999), counter)
-    check = FingerprintCheck(args.workload, args.seed)
+    order = episode_order(args.seed)
+    warm = run_episode(workload, order[-1], counter)
+    warm.matched = check.check(order[-1], warm.fingerprint())
     untraced: list = []
     traced: list = []
     ipc: List[float] = []
     deadline = time.perf_counter() + args.seconds
     k = 0
     while k < (1 if args.trace else MIN_EPISODES) or time.perf_counter() < deadline:
-        seed = sub_seed(args.seed, k)
+        seed = order[k % POOL]
         gc.collect()
         gc.freeze()
         ipc.append(host_ipc(counter))
         ep = run_episode(workload, seed, counter)
-        ep.matched = check.check(k, ep.fingerprint())
+        ep.matched = check.check(seed, ep.fingerprint())
         untraced.append(ep)
         if args.trace:
             from tracer import Tracer
@@ -144,10 +156,10 @@ def run_episodes(args: argparse.Namespace, counter: Any) -> Tuple[list, list, Fi
             with Tracer(counter) as tracer:
                 twin = run_episode(workload, seed, counter, on_measure=tracer.window)
             twin.tracer = tracer
-            twin.matched = check.check(k, twin.fingerprint(), ep.fingerprint())
+            twin.matched = check.check(seed, twin.fingerprint(), ep.fingerprint())
             traced.append(twin)
         k += 1
-    return untraced, traced, check, ipc
+    return warm, untraced, traced, ipc
 
 
 def end_to_end(untraced: list) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -285,6 +297,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"costbench: unknown workload {args.workload!r}; "
               f"choose from {', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
+    expected = load_fingerprints(args.workload)
+    if expected is None:
+        print(f"costbench: {FINGERPRINTS} has no {POOL} fingerprints for "
+              f"{args.workload!r}; run record_fingerprints.py", file=sys.stderr)
+        return 2
+    check = FingerprintCheck(expected)
     try:
         counter = InstructionCounter()
     except CounterUnavailable as exc:
@@ -292,8 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 3
     with counter:
-        untraced, traced, check, ipc = run_episodes(args, counter)
-    episodes = untraced + traced
+        warm, untraced, traced, ipc = run_episodes(args, counter, check)
+    episodes = [warm] + untraced + traced
     attempted = sum(ep.offered for ep in episodes)
     failed = sum(ep.failed if ep.matched else ep.offered for ep in episodes)
     if args.trace:

@@ -49,7 +49,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.process import Process, Signal
 from repro.sim.timers import Timer
-from workloads import ExclusiveOpenLoop
 
 #: Protocol element class -> role name.  Every method the class has
 #: between itself and :class:`Node` counts as that role's time.
@@ -71,8 +70,7 @@ CLASS_LAYERS: Tuple[Tuple[str, Tuple[type, ...]], ...] = (
     ("sim", (Simulator, EventQueue, Process, Signal, Timer)),
     ("net", (Link, IPCloud)),
     ("media", (FluidMediaSession, FluidChannel, FluidFlow)),
-    ("workload", (CallWorkload, OpenLoopWorkload, ExclusiveOpenLoop,
-                  DiurnalProfile)),
+    ("workload", (CallWorkload, OpenLoopWorkload, DiurnalProfile)),
 )
 
 #: (class, method names, layer, count key) wrapped one by one.

@@ -19,7 +19,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import scenarios
 from repro.core.network import build_vgprs_network
@@ -39,10 +39,10 @@ QUANTUM = 0.25
 
 @dataclass(frozen=True)
 class Workload:
-    """One benchmark workload: population, driver and measured length."""
+    """One benchmark workload: population, driver and measured length.
+    What each one loads is described in ``BENCHMARK.json``."""
 
     name: str
-    why: str
     pairs: int
     sim_seconds: float
     #: Offered calls per second (open loop) or per pair (closed loop).
@@ -56,66 +56,14 @@ class Workload:
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
-        Workload(
-            name="signalling",
-            why=("closed loop of 20 MS/terminal pairs, talk off: the message "
-                 "path (kernel, links, packets, dispatch, handlers)"),
-            pairs=20, sim_seconds=60.0, rate=0.5, closed_loop=True,
-        ),
-        Workload(
-            name="population",
-            why=("open-loop Poisson calls over 1000 pairs in one cell: "
-                 "O(population) paging, registration and metric families"),
-            pairs=1000, sim_seconds=60.0, rate=2.0, mt_fraction=1.0,
-        ),
-        Workload(
-            name="served",
-            why=("unpaced serve loop, 20 pairs, talk on, fluid media, a "
-                 "publish per 0.25 s and a scrape per sim-s: metrics read side"),
-            pairs=20, sim_seconds=30.0, rate=2.0, served=True, talk=True,
-        ),
+        Workload(name="signalling", pairs=20, sim_seconds=60.0, rate=0.5,
+                 closed_loop=True),
+        Workload(name="population", pairs=1000, sim_seconds=60.0, rate=2.0,
+                 mt_fraction=1.0),
+        Workload(name="served", pairs=20, sim_seconds=30.0, rate=2.0,
+                 served=True, talk=True),
     )
 }
-
-
-@dataclass
-class ExclusiveOpenLoop(OpenLoopWorkload):
-    """:class:`OpenLoopWorkload` that never offers a call to a pair
-    whose previous call is still in flight.
-
-    The stock picker checks only ``ms.state``, and an MS reads idle
-    until the page of a terminating call reaches it, so a second
-    arrival in that window can pick the same MS; the second call is
-    released at once and the workload counts it as failed.  The
-    benchmark wants workloads on which no call fails, so it excludes
-    such pairs.  The arrival stream draws exactly as before.
-    """
-
-    in_flight: Set[str] = field(default_factory=set)
-
-    def _pick_pair(self, rng, mt: bool):
-        candidates = [
-            (ms, peer) for ms, peer in self.pairs
-            if ms.name not in self.in_flight and ms.state == "idle"
-            and ms.registered and (mt or not peer.calls)
-        ]
-        if not candidates:
-            return None
-        pair = candidates[rng.randrange(len(candidates))]
-        self.in_flight.add(pair[0].name)
-        return pair
-
-    def _call_mo(self, ms, term, hold):
-        try:
-            yield from super()._call_mo(ms, term, hold)
-        finally:
-            self.in_flight.discard(ms.name)
-
-    def _call_mt(self, ms, term, hold):
-        try:
-            yield from super()._call_mt(ms, term, hold)
-        finally:
-            self.in_flight.discard(ms.name)
 
 
 class Slices:
@@ -259,7 +207,7 @@ def run_episode(
             talk=workload.talk,
         )
     else:
-        wl = ExclusiveOpenLoop(
+        wl = OpenLoopWorkload(
             nw=nw, pairs=pairs,
             profile=DiurnalProfile.flat(workload.rate * 3600.0),
             hold_range=(2.0, 6.0), talk=workload.talk,
